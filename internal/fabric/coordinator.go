@@ -75,9 +75,9 @@ type Config struct {
 
 // Coordinator shards sweeps across registered worker replicas. Its Run
 // method has the service.RunFunc shape, so a coordinator-mode
-// twinserver plugs it straight into the sweep registry — singleflight
-// dedup, lifecycle states and cancellation all behave exactly as in
-// single-process mode.
+// twinserver plugs it in as service.Config.Run, in place of the local
+// Runner — singleflight dedup, lifecycle states and cancellation all
+// behave exactly as in single-process mode.
 type Coordinator struct {
 	cfg Config
 
@@ -193,7 +193,7 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 	results := make([]*scenario.Result, n)
 
 	// resolvedSims counts distinct simulations among resolved scenarios —
-	// the same progress unit a single-process RunProgress reports.
+	// the same progress unit a single-process Runner.Resume reports.
 	resolvedSims := func() int {
 		seen := map[string]bool{}
 		for i, res := range results {

@@ -84,21 +84,36 @@ func Assemble(spec Spec, results []Result, workers int) (*SweepResults, error) {
 		return nil, fmt.Errorf("scenario: assembling %d results against %d expanded scenarios",
 			len(results), len(scenarios))
 	}
+	return assemble(spec, scenarios, results, workers)
+}
+
+// assemble finishes a sweep whose per-scenario results are all in hand,
+// aligned with its expansion: it checks each result belongs at its
+// index and recomputes the cross-scenario aggregation, clearing whatever
+// a partial view may have left.
+func assemble(spec Spec, scenarios []Scenario, results []Result, workers int) (*SweepResults, error) {
 	runKeys := map[string]bool{}
 	for i, sc := range scenarios {
-		if got := results[i].Scenario.Index; got != i {
-			return nil, fmt.Errorf("scenario: result %d carries scenario index %d", i, got)
-		}
-		if results[i].SimDigest == "" {
-			return nil, fmt.Errorf("scenario: result %d (%s) lacks a simulation digest", i, sc.Name)
+		if err := checkResult(i, results[i]); err != nil {
+			return nil, err
 		}
 		runKeys[sc.runKey()] = true
-		// Cross-scenario fields are recomputed below; clear whatever a
-		// partial view may have left.
 		results[i].AvoidedCarbon = 0
 		results[i].HasBaseline = false
 	}
 	spec = spec.withDefaults()
 	fillAvoidedCarbon(spec, scenarios, results)
 	return &SweepResults{Spec: spec, Results: results, Simulations: len(runKeys), Workers: workers}, nil
+}
+
+// checkResult rejects a result that does not belong at expansion index
+// i: one carrying another scenario's index, or no simulation digest.
+func checkResult(i int, res Result) error {
+	if res.Scenario.Index != i {
+		return fmt.Errorf("scenario: result %d carries scenario index %d", i, res.Scenario.Index)
+	}
+	if res.SimDigest == "" {
+		return fmt.Errorf("scenario: result %d (%s) lacks a simulation digest", i, res.Scenario.Name)
+	}
+	return nil
 }

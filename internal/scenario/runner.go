@@ -12,7 +12,6 @@ import (
 
 	"github.com/greenhpc/archertwin/internal/core"
 	"github.com/greenhpc/archertwin/internal/emissions"
-	"github.com/greenhpc/archertwin/internal/grid"
 	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/timeseries"
@@ -278,27 +277,79 @@ func (e *ScenarioError) Unwrap() error { return e.Err }
 // returns ctx's error. Simulations completed before the cancellation are
 // still memoized, so a retried sweep resumes where it left off.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*SweepResults, error) {
-	return r.RunProgress(ctx, spec, nil)
+	return r.Resume(ctx, spec, nil, nil, nil)
 }
 
-// RunProgress is Run with per-sweep progress reporting: progress (when
-// non-nil) is called with (resolved, total) unique-simulation counts —
-// once after memo resolution and again as each executed simulation
-// completes. It may be called concurrently from worker goroutines and
-// must be safe for that; the twinserver uses it to serve live sweep
-// status.
-func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done, total int)) (*SweepResults, error) {
+// Resume is Run for a sweep that may be partly done already: done maps
+// expansion indices to results of an earlier execution of the same spec
+// (a journal replayed after a crash), and only the other scenarios
+// execute — all in one pass over the Runner's pool. Each done result
+// must carry its own index and a simulation digest; it is taken
+// verbatim. The assembled SweepResults is byte-identical to Run's for
+// every done subset: Workers is resolved against the whole sweep's
+// simulation count, not the missing part's.
+//
+// sink, when non-nil, is called once per Spec.Partition group with
+// missing scenarios, as soon as the group's last simulation lands, with
+// those scenarios' expansion indices in ascending order and their
+// results (cross-scenario aggregation — AvoidedCarbon, HasBaseline —
+// left unfilled, as RunScenarios leaves it). A sink error cancels the
+// rest of the run and is returned as is; no further group is sunk, and
+// simulations completed so far stay memoized.
+//
+// progress, when non-nil, receives (resolved, total) counts of distinct
+// simulations over the whole sweep, done ones included: it never
+// decreases and, on success, ends at (Simulations, Simulations). Both
+// callbacks run on the calling goroutine, never concurrently.
+func (r *Runner) Resume(ctx context.Context, spec Spec, done map[int]Result,
+	sink func(indices []int, res []Result) error, progress func(done, total int)) (*SweepResults, error) {
 	scenarios, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	results, simulations, workers, err := r.runSelected(ctx, spec, scenarios, progress)
+	for i, res := range done {
+		if i < 0 || i >= len(scenarios) {
+			return nil, fmt.Errorf("scenario: done result %d outside expansion of %d scenarios", i, len(scenarios))
+		}
+		if err := checkResult(i, res); err != nil {
+			return nil, err
+		}
+	}
+	var missing []Scenario
+	runKeys, open := map[string]bool{}, map[string]bool{}
+	for i, sc := range scenarios {
+		runKeys[sc.runKey()] = true
+		if _, ok := done[i]; !ok {
+			missing = append(missing, sc)
+			open[sc.runKey()] = true
+		}
+	}
+	report := progress
+	if progress != nil {
+		closed := len(runKeys) - len(open)
+		report = func(resolved, _ int) { progress(closed+resolved, len(runKeys)) }
+	}
+	fresh, _, err := r.runSelected(ctx, spec, missing, report, sink)
 	if err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
-	fillAvoidedCarbon(spec, scenarios, results)
-	return &SweepResults{Spec: spec, Results: results, Simulations: simulations, Workers: workers}, nil
+	results := make([]Result, len(scenarios))
+	for i, res := range done {
+		results[i] = res
+	}
+	for j, sc := range missing {
+		results[sc.Index] = fresh[j]
+	}
+	return assemble(spec, scenarios, results, r.poolSize(len(runKeys)))
+}
+
+// poolSize resolves Workers (<= 0 means GOMAXPROCS) for n simulations.
+func (r *Runner) poolSize(n int) int {
+	w := r.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
 }
 
 // RunScenarios executes only the scenarios at the given expanded-grid
@@ -334,45 +385,119 @@ func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, pro
 		selected = append(selected, all[idx])
 		last = idx
 	}
-	results, sims, _, err := r.runSelected(ctx, spec, selected, progress)
-	return results, sims, err
+	return r.runSelected(ctx, spec, selected, progress, nil)
 }
 
-// runSelected is the execution core shared by full sweeps and shard
-// slices: it simulates the given (already expanded) scenarios and
-// returns their Results aligned with the input slice, the distinct
-// simulation count, and the effective worker-pool size. Cross-scenario
-// aggregation is the caller's job.
-func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenario, progress func(done, total int)) ([]Result, int, int, error) {
+// task is one unit of pool work; it may return follow-up tasks.
+type task func() []task
+
+// drain runs tasks on a pool of w goroutines until none remain; once
+// ctx is done, the tasks not yet started are dropped unrun. Follow-up
+// tasks run before any task not yet started, so a fork family's
+// branches overtake the groups queued behind their prefix and the
+// family finishes early.
+func drain(ctx context.Context, w int, queue []task) {
+	var (
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+		busy int
+		wg   sync.WaitGroup
+	)
+	for i := 0; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for {
+				for len(queue) == 0 && busy > 0 {
+					cond.Wait()
+				}
+				if len(queue) == 0 {
+					return
+				}
+				t := queue[0]
+				queue = queue[1:]
+				busy++
+				mu.Unlock()
+				var next []task
+				if ctx.Err() == nil {
+					next = t()
+				}
+				mu.Lock()
+				busy--
+				if len(next) > 0 {
+					queue = append(next, queue...)
+				}
+				cond.Broadcast()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runSelected is the execution core behind Resume and RunScenarios: it
+// simulates the given (already expanded, ascending) scenarios on one
+// pool of at most Workers goroutines and returns their Results aligned
+// with the input slice, plus the distinct simulation count.
+// Cross-scenario aggregation is the caller's job. sink and progress
+// follow Resume's contract, over the selection alone.
+func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenario,
+	progress func(done, total int), sink func(indices []int, res []Result) error) ([]Result, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	parent := ctx
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
 	spec = spec.withDefaults()
 
+	// One trace seed for the whole sweep: the grid's underlying weather is
+	// common random numbers across every scenario (Scaled rescales the
+	// same noise), so scenarios at equal grid means see identical carbon
+	// intensity, and emissions deltas across simulation axes carry no
+	// grid-sampling noise. The trace spans the whole run (not just the
+	// measurement window) because carbon-aware simulations consume it from
+	// day zero; one trace per distinct grid mean is shared by reference.
+	traceSeed := rng.DeriveSeed(spec.Seed, "grid-trace")
+	traces := map[float64]*timeseries.RegularSeries{}
+
 	// Group scenarios by run key (simulation key plus any active mid-sweep
-	// divergence value); build each scenario's grid model up front.
+	// divergence value), and the run-key groups by affinity key (the
+	// simulation key: a Spec.Partition group, the unit sink receives).
 	type group struct {
 		cfg     core.Config
 		key     string
+		part    string
 		sc      Scenario
 		members []int
 	}
 	var groups []group
 	byKey := map[string]int{}
-	models := make([]grid.IntensityModel, len(scenarios))
+	parts := map[string][]int{} // affinity key -> member positions
+	open := map[string]int{}    // affinity key -> run-key groups not yet landed
 	for i, sc := range scenarios {
 		cfg, gm, err := sc.BuildConfig(spec)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
+			return nil, 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
 		}
-		models[i] = gm
+		if _, ok := traces[sc.GridMean]; !ok {
+			cc := core.CarbonConfig{Model: gm, TraceSeed: traceSeed}
+			tr, err := cc.Trace(sweepStart, sweepStart.AddDate(0, 0, spec.Days))
+			if err != nil {
+				return nil, 0, &ScenarioError{Index: sc.Index, Name: sc.Name, Err: err}
+			}
+			traces[sc.GridMean] = tr
+		}
 		gi, ok := byKey[sc.runKey()]
 		if !ok {
 			gi = len(groups)
 			byKey[sc.runKey()] = gi
-			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: sc})
+			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), part: sc.simKey(), sc: sc})
+			open[sc.simKey()]++
 		}
 		groups[gi].members = append(groups[gi].members, i)
+		parts[sc.simKey()] = append(parts[sc.simKey()], i)
 	}
 
 	// Collect mid-sweep divergence families: groups sharing a simulation
@@ -389,8 +514,8 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 		prefixCfg core.Config
 		snapKey   string
 		branches  []int
+		todo      []int // pending branches, queued when the prefix lands
 		snap      *core.Snapshot
-		fromMemo  bool
 		err       error
 	}
 	famOf := make([]int, len(groups))
@@ -401,17 +526,17 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
 		bySim := map[string]int{}
 		for g, grp := range groups {
-			fi, ok := bySim[grp.sc.simKey()]
+			fi, ok := bySim[grp.part]
 			if !ok {
 				prefixSc := grp.sc
 				prefixSc.MidFrequency = MidNone
 				prefixCfg, _, err := prefixSc.BuildConfig(spec)
 				if err != nil {
-					return nil, 0, 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
+					return nil, 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
 						scenarios[grp.members[0]].Index, grp.sc.Name, err)
 				}
 				fi = len(families)
-				bySim[grp.sc.simKey()] = fi
+				bySim[grp.part] = fi
 				families = append(families, &family{
 					prefixCfg: prefixCfg,
 					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, prefixSc, prefixCfg), spec.DivergeDay),
@@ -454,26 +579,57 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 	}
 	for _, f := range families {
 		if e, ok := r.memo.get(f.snapKey); ok && e.snap != nil {
-			f.snap, f.fromMemo = e.snap, true
+			f.snap = e.snap
 		}
 	}
 	r.mu.Unlock()
 
-	var resolved atomic.Int64
-	resolved.Store(int64(len(groups) - len(pending)))
-	report := func() {
+	// A resolved simulation's scenarios are accounted where it resolved —
+	// a memo hit here, a fresh run on its worker — and the landing is
+	// reported here, on the calling goroutine, so progress and sink calls
+	// never overlap and progress never decreases. Once every run-key
+	// group of an affinity group has landed, that group goes to sink.
+	results := make([]Result, len(scenarios))
+	accounted := func(g int) bool {
+		for _, i := range groups[g].members {
+			res, err := account(scenarios[i], traces[scenarios[i].GridMean], sims[g])
+			if err != nil {
+				errs[g] = err
+				return false
+			}
+			res.SimDigest = digests[g]
+			results[i] = res
+		}
+		return true
+	}
+	resolved := 0
+	var sinkErr error
+	land := func(g int) {
+		resolved++
 		if progress != nil {
-			progress(int(resolved.Load()), len(groups))
+			progress(resolved, len(groups))
+		}
+		part := groups[g].part
+		if open[part]--; open[part] > 0 || sink == nil || sinkErr != nil {
+			return
+		}
+		members := parts[part]
+		indices := make([]int, len(members))
+		res := make([]Result, len(members))
+		for j, i := range members {
+			indices[j], res[j] = scenarios[i].Index, results[i]
+		}
+		if sinkErr = sink(indices, res); sinkErr != nil {
+			cancel()
 		}
 	}
-	report()
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if progress != nil {
+		progress(0, len(groups))
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	for g := range groups {
+		if sims[g] != nil && accounted(g) {
+			land(g)
+		}
 	}
 
 	runCfg := r.runCfg
@@ -481,103 +637,70 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 		runCfg = core.RunConfigContext
 	}
 	var executed atomic.Int64
+	// Unbuffered: a worker waits for its landing to be taken, so while a
+	// sink call runs, no worker gets more than one simulation ahead.
+	landed := make(chan int)
 
-	// runPhase drains one batch of tasks through a bounded worker pool.
-	// Cancellation abandons the unfed remainder (their error slots stay
-	// nil; the sweep-cancelled check below owns that case) and in-flight
-	// simulations cancel cooperatively.
-	runPhase := func(tasks []func()) {
-		if len(tasks) == 0 {
+	// finish lands a freshly executed simulation. Its digest is computed
+	// once, then the result is compacted (Results.Compact: capture
+	// intermediates dropped, spare series capacity released — digest
+	// unchanged by contract), priced at its compacted footprint and
+	// memoized, evicting the least-recently-used entries beyond the
+	// entry-count and byte bounds: each entry pins a full results series,
+	// and a long-lived service sweeping ever-new configs must not grow
+	// memory without bound, yet must keep admitting so its hot set stays
+	// warm.
+	finish := func(g int, sim *core.Results, err error) {
+		if err != nil {
+			errs[g] = err
 			return
 		}
-		w := workers
-		if w > len(tasks) {
-			w = len(tasks)
+		digests[g] = sim.Digest()
+		sim.Compact()
+		sims[g] = sim
+		e := &memoEntry{key: groups[g].key, res: sim, digest: digests[g], cost: sim.MemoryFootprint()}
+		r.mu.Lock()
+		r.memo.put(e)
+		r.mu.Unlock()
+		if accounted(g) {
+			landed <- g
 		}
-		ch := make(chan func())
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					t()
-				}
-			}()
-		}
-	feed:
-		for _, t := range tasks {
-			select {
-			case ch <- t:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(ch)
-		wg.Wait()
 	}
-
-	// Phase one: cold simulations, plus one prefix run per fork family
-	// that has pending branches and no memoized snapshot. The prefix runs
-	// to the divergence point and checkpoints there; it counts as an
-	// executed simulation (a memo miss) like any other.
-	var coldTasks, forkTasks []func()
-	for _, g := range pending {
-		g := g
-		if fi := famOf[g]; fi >= 0 {
-			f := families[fi]
-			forkTasks = append(forkTasks, func() {
-				if err := ctx.Err(); err != nil {
-					errs[g] = err
-					return
-				}
-				if f.err != nil {
-					errs[g] = fmt.Errorf("fork prefix: %w", f.err)
-					return
-				}
-				executed.Add(1)
-				sim, err := core.Fork(f.snap, groups[g].cfg)
-				if err == nil {
-					sims[g], errs[g] = sim.RunContext(ctx)
-				} else {
-					errs[g] = err
-				}
-				if errs[g] == nil {
-					resolved.Add(1)
-					report()
-				}
-			})
-			continue
+	cold := func(g int) task {
+		return func() []task {
+			executed.Add(1)
+			sim, err := runCfg(ctx, groups[g].cfg)
+			finish(g, sim, err)
+			return nil
 		}
-		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				errs[g] = err
-				return
+	}
+	// A branch forks from its family's snapshot — one immutable snapshot
+	// seeds all branches concurrently (Fork deep-copies on restore) — and
+	// simulates only the divergence tail. A failed prefix fails each of
+	// its branches.
+	branch := func(g int, f *family) task {
+		return func() []task {
+			if f.err != nil {
+				errs[g] = fmt.Errorf("fork prefix: %w", f.err)
+				return nil
 			}
 			executed.Add(1)
-			sims[g], errs[g] = runCfg(ctx, groups[g].cfg)
-			if errs[g] == nil {
-				resolved.Add(1)
-				report()
+			sim, err := core.Fork(f.snap, groups[g].cfg)
+			var res *core.Results
+			if err == nil {
+				res, err = sim.RunContext(ctx)
 			}
-		})
-	}
-	needPrefix := make([]bool, len(families))
-	for _, g := range pending {
-		if fi := famOf[g]; fi >= 0 {
-			needPrefix[fi] = true
+			finish(g, res, err)
+			return nil
 		}
 	}
-	for fi, f := range families {
-		if !needPrefix[fi] || f.snap != nil {
-			continue
-		}
-		f := f
-		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				f.err = err
-				return
-			}
+	// A prefix runs to the divergence point and checkpoints there; it
+	// counts as an executed simulation (a memo miss) like any other, and
+	// its snapshot is memoized beside results, priced at its retained
+	// bytes, so the next divergence study over the same prefix forks
+	// straight from cache.
+	prefix := func(f *family) task {
+		return func() []task {
 			executed.Add(1)
 			sim, err := core.NewSimulator(f.prefixCfg)
 			if err == nil {
@@ -587,60 +710,62 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 				f.snap, err = sim.Snapshot()
 			}
 			f.err = err
-		})
+			if err == nil {
+				r.mu.Lock()
+				r.memo.put(&memoEntry{key: f.snapKey, snap: f.snap, cost: f.snap.MemoryFootprint()})
+				r.mu.Unlock()
+			}
+			next := make([]task, len(f.todo))
+			for j, g := range f.todo {
+				next[j] = branch(g, f)
+			}
+			return next
+		}
 	}
-	runPhase(coldTasks)
 
-	// Phase two: every pending branch of every family forks from its
-	// family's snapshot — one immutable snapshot seeds all branches
-	// concurrently (Fork deep-copies on restore) — and simulates only the
-	// divergence tail. A failed prefix fails each of its branches.
-	runPhase(forkTasks)
+	// Queue every pending group in expansion order; a fork family without
+	// a memoized snapshot queues its prefix in place of its branches.
+	var queue []task
+	for _, g := range pending {
+		fi := famOf[g]
+		switch {
+		case fi < 0:
+			queue = append(queue, cold(g))
+		case families[fi].snap != nil:
+			queue = append(queue, branch(g, families[fi]))
+		default:
+			f := families[fi]
+			if len(f.todo) == 0 {
+				queue = append(queue, prefix(f))
+			}
+			f.todo = append(f.todo, g)
+		}
+	}
+	go func() {
+		drain(ctx, r.poolSize(len(pending)), queue)
+		close(landed)
+	}()
+	for g := range landed {
+		land(g)
+	}
 
-	// Memoize fresh successes, evicting the least-recently-used entries
-	// beyond the entry-count and byte bounds — each entry pins a full
-	// results series, and a long-lived service sweeping ever-new configs
-	// must not grow memory without bound, yet must keep admitting so its
-	// hot set stays warm. Digests are computed once here, outside the
-	// lock, then each result is compacted (Results.Compact: capture
-	// intermediates dropped, spare series capacity released — digest
-	// unchanged by contract) and priced at its compacted footprint.
 	// Misses count executed simulations; hits count scenarios served from
-	// an already-computed simulation.
-	costs := make([]int64, len(groups))
-	for _, g := range pending {
-		if errs[g] == nil && sims[g] != nil {
-			digests[g] = sims[g].Digest()
-			sims[g].Compact()
-			costs[g] = sims[g].MemoryFootprint()
-		}
-	}
+	// an already-computed simulation. A cancelled sweep serves nothing, so
+	// its memo-resolved groups are not credited.
 	r.mu.Lock()
-	for _, g := range pending {
-		if errs[g] == nil && sims[g] != nil {
-			r.memo.put(&memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]})
-		}
-	}
-	// Freshly captured fork-point snapshots are memoized alongside results,
-	// priced at their retained bytes, so the next divergence study over the
-	// same prefix forks straight from cache.
-	for _, f := range families {
-		if f.snap != nil && !f.fromMemo && f.err == nil {
-			r.memo.put(&memoEntry{key: f.snapKey, snap: f.snap, cost: f.snap.MemoryFootprint()})
-		}
-	}
 	r.misses += int(executed.Load())
-	// Hits count scenarios actually served; a cancelled sweep serves
-	// nothing, so its memo-resolved groups are not credited.
 	if ctx.Err() == nil {
 		r.hits += len(scenarios) - len(pending)
 	}
 	r.mu.Unlock()
 
 	// A cancelled sweep reports the cancellation, not the per-scenario
-	// fallout of abandoning the queue.
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("scenario: sweep cancelled: %w", err)
+	// fallout of abandoning the queue; a failed sink reports itself.
+	if err := parent.Err(); err != nil {
+		return nil, 0, fmt.Errorf("scenario: sweep cancelled: %w", err)
+	}
+	if sinkErr != nil {
+		return nil, 0, sinkErr
 	}
 
 	// Report every failing scenario, in scenario-index order, rather than
@@ -654,42 +779,9 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 		}
 	}
 	if len(failed) > 0 {
-		return nil, 0, 0, errors.Join(failed...)
+		return nil, 0, errors.Join(failed...)
 	}
-
-	// One trace seed for the whole sweep: the grid's underlying weather is
-	// common random numbers across every scenario (Scaled rescales the
-	// same noise), so scenarios at equal grid means see identical carbon
-	// intensity, and emissions deltas across simulation axes carry no
-	// grid-sampling noise. The trace spans the whole run (not just the
-	// measurement window) because carbon-aware simulations consume it from
-	// day zero; one trace per distinct grid mean is shared by reference.
-	traceSeed := rng.DeriveSeed(spec.Seed, "grid-trace")
-	start := sweepStart
-	end := sweepStart.AddDate(0, 0, spec.Days)
-	traces := map[float64]*timeseries.RegularSeries{}
-	results := make([]Result, len(scenarios))
-	for g, grp := range groups {
-		for _, i := range grp.members {
-			tr, ok := traces[scenarios[i].GridMean]
-			if !ok {
-				cc := core.CarbonConfig{Model: models[i], TraceSeed: traceSeed}
-				var err error
-				tr, err = cc.Trace(start, end)
-				if err != nil {
-					return nil, 0, 0, &ScenarioError{Index: scenarios[i].Index, Name: scenarios[i].Name, Err: err}
-				}
-				traces[scenarios[i].GridMean] = tr
-			}
-			var err error
-			results[i], err = account(scenarios[i], tr, sims[g])
-			if err != nil {
-				return nil, 0, 0, &ScenarioError{Index: scenarios[i].Index, Name: scenarios[i].Name, Err: err}
-			}
-			results[i].SimDigest = digests[g]
-		}
-	}
-	return results, len(groups), workers, nil
+	return results, len(groups), nil
 }
 
 // account derives one scenario's Result from its (possibly shared)

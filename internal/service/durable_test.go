@@ -159,7 +159,7 @@ func TestDurableResumeFromPartialJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRunner := &scenario.Runner{Workers: 1}
-	ref, err := refRunner.RunProgress(ctx, spec, nil)
+	ref, err := refRunner.Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,9 @@ const (
 // called.
 var ErrShutdown = errors.New("service: shut down")
 
-// RunFunc executes one sweep. The default is the configured Runner's
-// RunProgress; tests substitute it to control timing and failure modes.
+// RunFunc executes one whole sweep in place of the Runner: a
+// coordinator-mode twinserver plugs in fabric.Coordinator.Run, and tests
+// substitute it to control timing and failure modes.
 type RunFunc func(ctx context.Context, spec scenario.Spec, progress func(done, total int)) (*scenario.SweepResults, error)
 
 // Config parameterises a Service.
@@ -76,7 +77,7 @@ type Config struct {
 	// Runner executes sweeps and owns the cross-sweep memo cache.
 	// Required unless Run is set.
 	Runner *scenario.Runner
-	// Run overrides the executor (tests). Nil means Runner.RunProgress.
+	// Run overrides the executor. Nil means Runner.Resume.
 	Run RunFunc
 	// MaxConcurrent bounds concurrently executing sweeps (default 2);
 	// each sweep already fans out internally across the Runner's workers.
@@ -89,9 +90,9 @@ type Config struct {
 	// Journal, when non-nil, makes the service durable: every registry
 	// transition is journaled and committed before it is acknowledged,
 	// and Recover replays the log on startup (see durable.go). Durable
-	// mode requires Runner — the resume path re-executes missing
-	// scenario indices through it — and is incompatible with a Run
-	// override.
+	// mode requires Runner — Runner.Resume re-executes a recovered
+	// sweep's missing scenarios and journals each partition group as it
+	// lands — and is incompatible with a Run override.
 	Journal *journal.Log
 	// Retention bounds how many finally-terminal sweeps keep their
 	// records in the journal before compaction drops them (default:
@@ -110,7 +111,6 @@ type Config struct {
 // a Service must not be copied.
 type Service struct {
 	cfg  Config
-	run  RunFunc
 	sem  chan struct{}
 	base context.Context
 	stop context.CancelFunc
@@ -146,14 +146,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Retention <= 0 {
 		cfg.Retention = cfg.MaxFinished
 	}
-	run := cfg.Run
-	if run == nil {
-		run = cfg.Runner.RunProgress
-	}
 	base, stop := context.WithCancel(context.Background())
 	return &Service{
 		cfg:    cfg,
-		run:    run,
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		base:   base,
 		stop:   stop,
@@ -387,10 +382,10 @@ func (s *Service) execute(ctx context.Context, sw *Sweep) {
 	sw.setRunning()
 	var res *scenario.SweepResults
 	var err error
-	if s.cfg.Journal != nil {
-		res, err = s.runDurable(ctx, sw)
+	if s.cfg.Run != nil {
+		res, err = s.cfg.Run(ctx, sw.Spec, sw.setProgress)
 	} else {
-		res, err = s.run(ctx, sw.Spec, sw.setProgress)
+		res, err = s.cfg.Runner.Resume(ctx, sw.Spec, sw.recovered, s.journalSink(ctx, sw), sw.setProgress)
 	}
 	if err == nil && ctx.Err() != nil {
 		err = ctx.Err()
